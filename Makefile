@@ -35,9 +35,11 @@ check:
 	$(MAKE) bench-wire
 	$(MAKE) bench-load-quick
 
-# Every paper artifact as a Go benchmark (throughput via b.ReportMetric).
+# Every paper artifact as a Go benchmark (throughput via b.ReportMetric),
+# plus the per-layer WAL append+fsync benchmark (fsyncs/op).
 bench:
 	$(GO) test -bench=. -benchmem .
+	$(GO) test -run='^$$' -bench=WALAppend -benchmem ./internal/wal/
 
 bench-quick:
 	$(GO) test -bench='LocalTxn|StoreValidate|QuorumConstruction' -benchmem .

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -24,7 +26,8 @@ var BenchWALPath = "BENCH_wal.json"
 
 // walRecord is one cell's row in BENCH_wal.json: the bank-transfer workload
 // over a real localhost TCP cluster, with replicas either in-memory or
-// durable at one group-commit flush interval.
+// durable at one group-commit fsync interval (the minimum spacing between
+// two of a log's fsyncs).
 type walRecord struct {
 	Durability  string  `json:"durability"` // "mem" or "wal"
 	FsyncMs     float64 `json:"fsync_interval_ms"`
@@ -40,6 +43,35 @@ type walRecord struct {
 	Verified    bool    `json:"verified"`
 }
 
+// walArtifact is the whole of BENCH_wal.json: the host the run came from
+// and one row per cell.
+type walArtifact struct {
+	Host  hostStamp   `json:"host"`
+	Cells []walRecord `json:"cells"`
+}
+
+// hostStamp records where a measurement ran, so numbers from different
+// machines are never compared as if they were one.
+type hostStamp struct {
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	CPUModel   string `json:"cpu_model"`
+}
+
+func newHostStamp() hostStamp {
+	h := hostStamp{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), CPUModel: "unknown"}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPUModel = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
+}
+
 // walCell names one durability configuration.
 type walCell struct {
 	label   string
@@ -49,17 +81,19 @@ type walCell struct {
 
 // WALCost prices durability: the same seeded transfer workload over real
 // TCP with replicas running in-memory versus logging every prepare/decide
-// to a group-committed WAL, at several flush intervals. The in-memory cell
-// is the baseline the README's durability table is measured against; the
-// interval sweep shows group commit amortizing fsyncs across concurrent
-// commits (fsyncs/txn falls as the window widens, the commit tail barely
-// moves). Every cell must end balance-conserving — durable or not, the
-// protocol invariant is the same.
+// to a group-committed WAL, at several fsync intervals. The interval is the
+// paced group commit's minimum spacing between fsyncs: an idle log flushes
+// at once, a busy one shares each fsync across every append staged within
+// the interval. The in-memory cell is the baseline the README's durability
+// table is measured against; the interval sweep shows group commit
+// amortizing fsyncs across concurrent commits (fsyncs/txn falls as the
+// interval widens). Every cell must end balance-conserving — durable or
+// not, the protocol invariant is the same.
 func WALCost(ctx context.Context, s Scale) ([]Table, error) {
 	t := Table{
 		ID:     "wal",
 		Title:  "durable commit cost: group-committed WAL vs in-memory (real TCP)",
-		Header: []string{"durability", "fsync window", "txn/s", "commit p50 ms", "commit p99 ms", "fsyncs/txn", "log MiB", "verified"},
+		Header: []string{"durability", "fsync interval", "txn/s", "commit p50 ms", "commit p99 ms", "fsyncs/txn", "log MiB", "verified"},
 	}
 	cells := []walCell{
 		{label: "mem", durable: false},
@@ -88,7 +122,7 @@ func WALCost(ctx context.Context, s Scale) ([]Table, error) {
 		})
 	}
 	if BenchWALPath != "" {
-		b, err := json.MarshalIndent(records, "", "  ")
+		b, err := json.MarshalIndent(walArtifact{Host: newHostStamp(), Cells: records}, "", "  ")
 		if err != nil {
 			return nil, fmt.Errorf("wal: encoding %s: %w", BenchWALPath, err)
 		}

@@ -19,10 +19,12 @@ import (
 type Options struct {
 	// Dir is the data directory (created if absent). One log per directory.
 	Dir string
-	// FsyncInterval is how long the flusher waits after the first staged
-	// append before syncing, letting concurrent commits amortize one fsync
-	// (group commit). Zero flushes immediately — lowest latency, one fsync
-	// per quiet-period append.
+	// FsyncInterval is the minimum spacing between the starts of two
+	// group-commit flushes (paced group commit). An append to a log that
+	// has not flushed for FsyncInterval is written and fsynced at once;
+	// under load the flusher waits out the rest of the interval, and every
+	// append staged meanwhile shares that one fsync. Zero flushes each
+	// batch as soon as the previous one finishes.
 	FsyncInterval time.Duration
 	// SnapshotEvery triggers an automatic background snapshot once this many
 	// records have accumulated past the last snapshot. Zero disables
@@ -61,21 +63,25 @@ type WAL struct {
 	failed    error
 	closed    bool
 
-	// ioMu guards the segment file set (active file, sealed list, snapshot
-	// floor) and serializes all file writes and tail reads. Lock order:
-	// ioMu before mu when both are held.
+	// ioMu guards the segment file set (active file, sealed list) and
+	// serializes all file writes, floor advances and tail reads. Lock
+	// order: ioMu before mu when both are held.
 	ioMu     sync.Mutex
 	seg      *os.File
 	segStart uint64
 	sealed   []segment
-	floor    uint64 // snapshot applied index: records <= floor may be compacted away
+	// floor is the snapshot applied index: records <= floor may be
+	// compacted away. Written under ioMu; atomic so that an append's
+	// snapshot check never waits behind another batch's fsync.
+	floor atomic.Uint64
 
 	flushCh chan struct{}
 	quit    chan struct{}
 	flushed chan struct{} // flusher exited
 
 	snapshotting atomic.Bool
-	snapErr      atomic.Value // error from the last background snapshot
+	snapRun      sync.WaitGroup // the background snapshot; Close waits for it
+	snapErr      atomic.Value   // error from the last background snapshot
 	snapSource   func() (SnapshotState, error)
 
 	logBytes  atomic.Int64
@@ -149,7 +155,7 @@ func Open(opts Options) (*WAL, *Restore, error) {
 	}
 	if snap != nil {
 		res.Snapshot = snap
-		w.floor = snap.AppliedIndex
+		w.floor.Store(snap.AppliedIndex)
 		w.snapBytes.Store(snapSize)
 	}
 
@@ -157,7 +163,7 @@ func Open(opts Options) (*WAL, *Restore, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	w.nextIndex = w.floor + 1
+	w.nextIndex = w.floor.Load() + 1
 	for i, sg := range segs {
 		recs, goodSize, torn, err := replaySegment(sg.path)
 		if err != nil {
@@ -337,11 +343,17 @@ func (w *WAL) Append(kind Kind, msg any) error {
 	return nil
 }
 
-// flusher is the single goroutine performing group commits: on each signal
-// it optionally waits FsyncInterval (the amortization window), then flushes
-// whatever accumulated.
+// flusher is the single goroutine performing group commits (paced group
+// commit). A batch staged after FsyncInterval without a flush is written at
+// once; otherwise the flusher waits out the rest of the interval since the
+// previous flush started, so a busy log fsyncs at most once per interval and
+// every append staged in the meantime joins the batch. Close cuts the wait
+// short.
 func (w *WAL) flusher() {
 	defer close(w.flushed)
+	pace := time.NewTimer(time.Hour) // reused for every wait; created stopped
+	pace.Stop()
+	var lastStart time.Time // when the previous non-empty flush started
 	for {
 		select {
 		case <-w.quit:
@@ -349,36 +361,48 @@ func (w *WAL) flusher() {
 			return
 		case <-w.flushCh:
 		}
-		if d := w.opts.FsyncInterval; d > 0 {
-			t := time.NewTimer(d)
+		if wait := w.opts.FsyncInterval - time.Since(lastStart); wait > 0 {
+			pace.Reset(wait)
 			select {
 			case <-w.quit:
-				t.Stop()
-			case <-t.C:
+				pace.Stop()
+			case <-pace.C:
 			}
 		}
-		w.flushOnce()
+		start := time.Now()
+		if w.flushOnce() {
+			lastStart = start
+		}
 	}
 }
 
-// flushOnce writes and fsyncs the staged batch, then releases its waiters.
-func (w *WAL) flushOnce() {
+// flushOnce flushes the staged batch, reporting whether there was one.
+func (w *WAL) flushOnce() bool {
 	w.ioMu.Lock()
+	defer w.ioMu.Unlock()
+	_, flushed, _ := w.flushLocked()
+	return flushed
+}
+
+// flushLocked writes and fsyncs the staged batch, then releases its waiters.
+// last is the index of the newest staged record, durable when err is nil;
+// flushed reports whether there was a batch. A failed write or fsync
+// poisons the log. The caller holds ioMu.
+func (w *WAL) flushLocked() (last uint64, flushed bool, err error) {
 	w.mu.Lock()
 	buf, b := w.pend, w.pendBatch
 	w.pend, w.pendBatch = nil, nil
+	last = w.nextIndex - 1
 	w.mu.Unlock()
 	if b == nil {
-		w.ioMu.Unlock()
-		return
+		return last, false, nil
 	}
 	start := time.Now()
 	f := w.file()
-	_, err := f.Write(buf)
+	_, err = f.Write(buf)
 	if err == nil {
 		err = f.Sync()
 	}
-	w.ioMu.Unlock()
 	w.opts.Obs.ObserveSince(obs.SiteWALFsync, start)
 	w.fsyncs.Add(1)
 	if err != nil {
@@ -393,29 +417,33 @@ func (w *WAL) flushOnce() {
 	}
 	b.err = err
 	close(b.done)
+	return last, true, err
 }
 
 // maybeSnapshot kicks off a background snapshot when the log has grown
 // SnapshotEvery records past the last one. Singleflight: at most one
-// snapshot runs at a time, and failures park in SnapshotErr.
+// snapshot runs at a time, and failures park in SnapshotErr. It reads the
+// floor without ioMu, so an append never waits behind another batch's
+// fsync here.
 func (w *WAL) maybeSnapshot() {
 	every := w.opts.SnapshotEvery
 	if every == 0 {
 		return
 	}
+	// Starting under mu, after the closed check, orders snapRun.Add before
+	// Close's Wait.
 	w.mu.Lock()
-	last := w.nextIndex - 1
-	w.mu.Unlock()
-	w.ioMu.Lock()
-	floor := w.floor
-	w.ioMu.Unlock()
-	if last < floor || last-floor < every {
+	defer w.mu.Unlock()
+	last, floor := w.nextIndex-1, w.floor.Load()
+	if w.closed || last < floor || last-floor < every {
 		return
 	}
 	if !w.snapshotting.CompareAndSwap(false, true) {
 		return
 	}
+	w.snapRun.Add(1)
 	go func() {
+		defer w.snapRun.Done()
 		defer w.snapshotting.Store(false)
 		if err := w.Snapshot(); err != nil {
 			w.snapErr.Store(err)
@@ -449,33 +477,10 @@ func (w *WAL) Snapshot() error {
 
 	// Rotate: flush staged appends, seal the active segment, open the next.
 	w.ioMu.Lock()
-	w.mu.Lock()
-	buf, b := w.pend, w.pendBatch
-	w.pend, w.pendBatch = nil, nil
-	applied := w.nextIndex - 1
-	w.mu.Unlock()
-	if b != nil {
-		f := w.file()
-		_, err := f.Write(buf)
-		if err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
-			err = fmt.Errorf("wal: flush: %w", err)
-			w.mu.Lock()
-			if w.failed == nil {
-				w.failed = err
-			}
-			w.mu.Unlock()
-			b.err = err
-			close(b.done)
-			w.ioMu.Unlock()
-			return err
-		}
-		w.logBytes.Add(int64(len(buf)))
-		w.fsyncs.Add(1)
-		b.err = nil
-		close(b.done)
+	applied, _, err := w.flushLocked()
+	if err != nil {
+		w.ioMu.Unlock()
+		return err
 	}
 	if err := w.seg.Sync(); err != nil {
 		w.ioMu.Unlock()
@@ -506,7 +511,7 @@ func (w *WAL) Snapshot() error {
 	// The snapshot is durable; every sealed segment's records are <= applied
 	// and can go.
 	w.ioMu.Lock()
-	w.floor = applied
+	w.floor.Store(applied)
 	drop := w.sealed
 	w.sealed = nil
 	w.ioMu.Unlock()
@@ -527,7 +532,7 @@ func (w *WAL) Snapshot() error {
 func (w *WAL) Tail(after uint64, max int) (recs []Record, more bool, compacted bool, err error) {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
-	if after < w.floor {
+	if after < w.floor.Load() {
 		return nil, false, true, nil
 	}
 	// Flushes run under ioMu, so the files read below end on a frame
@@ -565,11 +570,7 @@ func (w *WAL) LastIndex() uint64 {
 
 // Floor returns the snapshot applied index (records <= Floor may be
 // compacted away and unavailable to Tail).
-func (w *WAL) Floor() uint64 {
-	w.ioMu.Lock()
-	defer w.ioMu.Unlock()
-	return w.floor
-}
+func (w *WAL) Floor() uint64 { return w.floor.Load() }
 
 // Fsyncs returns how many group-commit flushes have run.
 func (w *WAL) Fsyncs() int64 { return w.fsyncs.Load() }
@@ -580,8 +581,8 @@ func (w *WAL) LogBytes() int64 { return w.logBytes.Load() }
 // SnapshotBytes returns the byte size of the newest snapshot file.
 func (w *WAL) SnapshotBytes() int64 { return w.snapBytes.Load() }
 
-// Close flushes staged appends and stops the flusher. Appends after Close
-// fail with ErrClosed.
+// Close flushes staged appends, stops the flusher and waits for a running
+// background snapshot. Appends after Close fail with ErrClosed.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -592,6 +593,7 @@ func (w *WAL) Close() error {
 	w.mu.Unlock()
 	close(w.quit)
 	<-w.flushed
+	w.snapRun.Wait()
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
 	return w.seg.Close()
